@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	wehey-lint [-json] [-list] [-graph] [-why <func>] [-ignores] [-write-golden] [patterns...]
+//	wehey-lint [-json] [-list] [-graph] [-why <func>] [-ignores] [patterns...]
 //
 // Patterns default to ./... . Exit status is 0 when clean, 1 when findings
 // were reported, 2 on a driver error (parse/typecheck/go list failure).
@@ -24,8 +24,6 @@
 //	              <func> matches a full label ("internal/service.(*Scheduler).Submit")
 //	              or any suffix ("Submit").
 //	-ignores      list the live lint:ignore directives with their reasons.
-//	-write-golden regenerate internal/analysis/cachekey.golden from the
-//	              current spec structs.
 package main
 
 import (
@@ -45,7 +43,6 @@ func main() {
 	graph := flag.Bool("graph", false, "dump the module call graph and exit")
 	why := flag.String("why", "", "explain what invariant-relevant operations a function reaches and exit")
 	ignores := flag.Bool("ignores", false, "list live lint:ignore directives and exit")
-	writeGolden := flag.Bool("write-golden", false, "regenerate the cachekey spec-fingerprint golden and exit")
 	flag.Parse()
 
 	if *list {
@@ -59,9 +56,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	cfg := analysis.DefaultConfig()
-
-	if *graph || *why != "" || *writeGolden {
+	if *graph || *why != "" {
 		pkgs, err := analysis.Load(".", patterns)
 		if err != nil {
 			fail(err)
@@ -70,28 +65,16 @@ func main() {
 			fail(fmt.Errorf("no packages matched %v", patterns))
 		}
 		m := analysis.BuildModule(pkgs[0].Fset, pkgs)
-		switch {
-		case *writeGolden:
-			path := cfg.CacheKeyGolden
-			if !filepath.IsAbs(path) {
-				path = filepath.Join(".", path)
-			}
-			if err := os.WriteFile(path, []byte(analysis.FormatCacheKeyGolden(m)), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		case *graph:
+		if *graph {
 			printGraph(m)
-		default:
-			if !printWhy(m, *why) {
-				fmt.Fprintf(os.Stderr, "wehey-lint: no function matches %q\n", *why)
-				os.Exit(2)
-			}
+		} else if !printWhy(m, *why) {
+			fmt.Fprintf(os.Stderr, "wehey-lint: no function matches %q\n", *why)
+			os.Exit(2)
 		}
 		return
 	}
 
-	res, err := analysis.RunAudit(".", patterns, analysis.All(), cfg)
+	res, err := analysis.RunAudit(".", patterns, analysis.All(), analysis.DefaultConfig())
 	if err != nil {
 		fail(err)
 	}

@@ -118,7 +118,6 @@ func renderPath(msg string, path []PathStep) string {
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AnalyzerCacheKey,
 		AnalyzerDeadIgnore,
 		AnalyzerDetRand,
 		AnalyzerFloatEq,

@@ -31,11 +31,6 @@ type Config struct {
 	// LockHeldScope lists the packages in which holding a mutex across a
 	// (transitively) blocking call is reported.
 	LockHeldScope []string
-	// CacheKeyGolden is the path, relative to the module root, of the
-	// committed spec-struct fingerprint golden the cachekey analyzer
-	// checks. Empty or missing file disables the fingerprint check (field
-	// coverage still runs).
-	CacheKeyGolden string
 }
 
 // DefaultConfig encodes this repository's layering: the simulator and the
@@ -79,9 +74,8 @@ func DefaultConfig() *Config {
 			"internal/twin",
 			"internal/wehe",
 		},
-		PktLifeScope:   []string{"internal/netsim"},
-		LockHeldScope:  []string{"internal/service"},
-		CacheKeyGolden: "internal/analysis/cachekey.golden",
+		PktLifeScope:  []string{"internal/netsim"},
+		LockHeldScope: []string{"internal/service"},
 	}
 }
 

@@ -83,7 +83,6 @@ func RunAudit(dir string, patterns []string, analyzers []*Analyzer, cfg *Config)
 				Analyzer: a,
 				Module:   module,
 				Config:   cfg,
-				Dir:      dir,
 				report:   collect,
 			})
 		}
@@ -140,7 +139,6 @@ func RunPackage(pkg *Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
 				Analyzer: a,
 				Module:   module,
 				Config:   cfg,
-				Dir:      ".",
 				report:   collect,
 			})
 		}

@@ -136,134 +136,6 @@ func TestTaintPathDepth(t *testing.T) {
 	}
 }
 
-// TestCacheKeyModuleFixture pins encoder field coverage and stamp
-// constancy over a fixture module with its own simcache package.
-func TestCacheKeyModuleFixture(t *testing.T) {
-	runModuleFixture(t, "mod_cachekey",
-		[]*Analyzer{AnalyzerCacheKey}, &Config{})
-}
-
-// TestCacheKeyGoldenLifecycle drives the fingerprint golden through its
-// states: absent (disabled), fresh (clean), struct-changed-without-bump
-// (the guarded failure), and bumped-but-stale (regenerate).
-func TestCacheKeyGoldenLifecycle(t *testing.T) {
-	dir := filepath.Join("testdata", "mod_cachekey")
-	pkgs, err := Load(dir, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := BuildModule(pkgs[0].Fset, pkgs)
-
-	goldenDiags := func(goldenPath string) []Diagnostic {
-		cfg := &Config{CacheKeyGolden: goldenPath}
-		res, err := RunAudit(dir, []string{"./..."}, []*Analyzer{AnalyzerCacheKey}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []Diagnostic
-		for _, d := range res.Diagnostics {
-			if strings.Contains(d.Message, "golden") || strings.Contains(d.Message, "schema-stamp") {
-				out = append(out, d)
-			}
-		}
-		return out
-	}
-
-	golden := filepath.Join(t.TempDir(), "cachekey.golden")
-
-	// Absent golden: fingerprint checking is off.
-	if ds := goldenDiags(golden); len(ds) != 0 {
-		t.Fatalf("absent golden should disable the check, got %v", ds)
-	}
-
-	// Fresh golden: clean.
-	content := FormatCacheKeyGolden(m)
-	if err := os.WriteFile(golden, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if ds := goldenDiags(golden); len(ds) != 0 {
-		t.Fatalf("fresh golden should be clean, got %v", ds)
-	}
-	for _, typ := range []string{"BrokenSpec", "CleanSpec"} {
-		if !strings.Contains(content, typ) {
-			t.Fatalf("golden missing spec type %s:\n%s", typ, content)
-		}
-	}
-
-	// Struct changed, stamp unchanged: tamper the fingerprint column.
-	lines := strings.Split(content, "\n")
-	for i, l := range lines {
-		if strings.Contains(l, "BrokenSpec") {
-			parts := strings.Fields(l)
-			parts[1] = strings.Repeat("0", len(parts[1]))
-			lines[i] = strings.Join(parts, " ")
-		}
-	}
-	if err := os.WriteFile(golden, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ds := goldenDiags(golden)
-	if len(ds) != 1 || !strings.Contains(ds[0].Message, "changed without a schema-stamp bump") {
-		t.Fatalf("want one no-bump diagnostic, got %v", ds)
-	}
-
-	// Stamp moved too: the golden is merely stale.
-	lines = strings.Split(content, "\n")
-	for i, l := range lines {
-		if strings.Contains(l, "BrokenSpec") {
-			parts := strings.Fields(l)
-			parts[1] = strings.Repeat("0", len(parts[1]))
-			parts[2] = parts[2] + "-old"
-			lines[i] = strings.Join(parts, " ")
-		}
-	}
-	if err := os.WriteFile(golden, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ds = goldenDiags(golden)
-	if len(ds) != 1 || !strings.Contains(ds[0].Message, "-write-golden") {
-		t.Fatalf("want one stale-golden diagnostic, got %v", ds)
-	}
-
-	// Entry deleted: must demand regeneration.
-	var kept []string
-	for _, l := range strings.Split(content, "\n") {
-		if !strings.Contains(l, "BrokenSpec") {
-			kept = append(kept, l)
-		}
-	}
-	if err := os.WriteFile(golden, []byte(strings.Join(kept, "\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ds = goldenDiags(golden)
-	if len(ds) != 1 || !strings.Contains(ds[0].Message, "no entry") {
-		t.Fatalf("want one missing-entry diagnostic, got %v", ds)
-	}
-}
-
-// TestRepoGoldenInSync fails when a spec struct changes without
-// regenerating the committed golden — the same gate CI applies, pinned as
-// a test so `go test ./...` catches it before lint does.
-func TestRepoGoldenInSync(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the whole module")
-	}
-	root := filepath.Join("..", "..")
-	pkgs, err := Load(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := BuildModule(pkgs[0].Fset, pkgs)
-	want := FormatCacheKeyGolden(m)
-	got, err := os.ReadFile(filepath.Join(root, DefaultConfig().CacheKeyGolden))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != want {
-		t.Fatalf("committed cachekey golden is stale; run `go run ./cmd/wehey-lint -write-golden ./...`\n--- committed\n%s--- current\n%s", got, want)
-	}
-}
-
 // TestCallGraphShape pins structural properties of the module graph over
 // the taint fixture: node ordering, labels, edge resolution, and stats.
 func TestCallGraphShape(t *testing.T) {

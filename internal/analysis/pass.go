@@ -49,9 +49,6 @@ type ModulePass struct {
 	Analyzer *Analyzer
 	Module   *Module
 	Config   *Config
-	// Dir is the directory the module was loaded from; analyzers resolve
-	// auxiliary files (the cachekey golden) relative to it.
-	Dir string
 
 	report func(Diagnostic)
 }

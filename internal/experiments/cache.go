@@ -9,24 +9,25 @@ import (
 	"github.com/nal-epfl/wehey/internal/simcache"
 )
 
-// This file routes RunSim through internal/simcache. Since PR 1 a trial's
+// This file routes RunSim through internal/simcache. A trial's
 // randomness is a pure function of SimSpec (the seed is part of the
 // spec), so RunSim(spec) is deterministic in spec alone — memoizing it is
-// sound. The cache key is the SHA-256 of simCacheSchema plus a canonical
-// binary encoding of the *filled* spec (appendSpec), so a spec relying on
-// defaults and one spelling them out share an entry. SimResult round-trips
-// through the exact binary codec of internal/measure: a result served
-// from disk is bit-for-bit the result a recompute would produce,
-// including map-valued fields (Drops) and nil-vs-empty slice identity.
+// sound. The cache key is simcache.KeyFor over simCacheSchema and the
+// *filled* spec, so a spec relying on defaults and one spelling them out
+// share an entry, and every SimSpec field is keyed by construction.
+// SimResult round-trips through the exact binary codec of
+// internal/measure: a result served from disk is bit-for-bit the result a
+// recompute would produce, including map-valued fields (Drops) and
+// nil-vs-empty slice identity.
 
-// simCacheSchema stamps every cache key. Bump it whenever anything that
-// RunSim's output depends on changes meaning: a SimSpec or SimResult
-// field is added/removed/reinterpreted, the wire encoding changes, or the
-// simulator's behaviour at a fixed spec changes (netsim, trace
+// simCacheSchema stamps every cache key. SimSpec's shape is keyed by
+// construction (KeyFor fingerprints it), so bump the stamp only when
+// meaning changes at a fixed shape: a field is reinterpreted, the
+// SimResult codec changes (TestSimCacheSchemaGuards pins its shape), or
+// the simulator's behaviour at a fixed spec changes (netsim, trace
 // generation, calibration constants). Old entries then simply miss.
-// TestSimCacheSchemaGuards pins the struct shapes this stamp covers.
-// v2: SimSpec gained BackgroundMode + BgFlowRate, SimResult gained
-// Events/BgEvents/BgFlows (PR 8's hybrid fluid background).
+// v2: SimResult gained Events/BgEvents/BgFlows (the hybrid fluid
+// background).
 const simCacheSchema = "wehey/simcache/v2"
 
 // SimCache memoizes RunSim results. Results handed out are shared:
@@ -57,7 +58,7 @@ func NewDiskSimCache(dir string) (*SimCache, error) {
 // requests for the same spec single-flight onto one simulation.
 func (sc *SimCache) Run(spec SimSpec) SimResult {
 	spec.fill() // canonicalize before keying: defaulted == spelled out
-	key := simcache.KeyOf(simCacheSchema, appendSpec(nil, &spec))
+	key := simcache.KeyFor(simCacheSchema, spec)
 	return sc.inner.Get(key, func() SimResult { return RunSim(spec) })
 }
 
@@ -86,34 +87,6 @@ func (c Config) Grid(specs []SimSpec) []SimResult {
 	return ForEach(len(specs), c.workers(), func(i int) SimResult {
 		return c.Sim(specs[i])
 	})
-}
-
-// appendSpec appends the canonical binary encoding of s — every field, in
-// declaration order. TestSimCacheSchemaGuards fails if SimSpec grows a
-// field without this encoder (and simCacheSchema) being updated.
-func appendSpec(b []byte, s *SimSpec) []byte {
-	b = measure.AppendString(b, s.App)
-	b = measure.AppendFloat64(b, s.InputFactor)
-	b = measure.AppendFloat64(b, s.QueueFactor)
-	b = measure.AppendFloat64(b, s.BgShare)
-	b = measure.AppendFloat64(b, s.BgAggregate)
-	b = measure.AppendInt64(b, int64(s.RTT1))
-	b = measure.AppendInt64(b, int64(s.RTT2))
-	b = measure.AppendInt64(b, int64(s.Placement))
-	b = measure.AppendFloat64(b, s.CongestionFactor)
-	b = measure.AppendInt64(b, int64(s.Duration))
-	b = appendBool(b, s.Unmodified)
-	b = appendBool(b, s.BBR)
-	b = measure.AppendString(b, s.BackgroundMode)
-	b = measure.AppendFloat64(b, s.BgFlowRate)
-	return measure.AppendInt64(b, s.Seed)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
 }
 
 func decodeBool(b []byte) (bool, []byte, error) {

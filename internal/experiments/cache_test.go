@@ -11,30 +11,29 @@ import (
 	"time"
 
 	"github.com/nal-epfl/wehey/internal/measure"
+	"github.com/nal-epfl/wehey/internal/simcache"
 )
 
-// TestSimCacheSchemaGuards pins the shapes simCacheSchema covers: if
-// SimSpec or SimResult grows, shrinks, or reorders fields, this fails
-// until appendSpec/encodeResult/decodeResult are extended AND
-// simCacheSchema is bumped (stale entries would otherwise alias the new
-// meaning).
+// TestSimCacheSchemaGuards pins the shape of the hand-written SimResult
+// codec: if SimResult grows, shrinks, or reorders fields, this fails until
+// encodeResult/decodeResult are extended AND simCacheSchema is bumped
+// (stale entries would otherwise decode into the new meaning). SimSpec
+// needs no guard: simcache.KeyFor keys its every field by construction.
 func TestSimCacheSchemaGuards(t *testing.T) {
-	if n := reflect.TypeOf(SimSpec{}).NumField(); n != 15 {
-		t.Errorf("SimSpec has %d fields, appendSpec encodes 15: extend appendSpec and bump simCacheSchema", n)
-	}
 	if n := reflect.TypeOf(SimResult{}).NumField(); n != 10 {
 		t.Errorf("SimResult has %d fields, the codec handles 10: extend encodeResult/decodeResult and bump simCacheSchema", n)
 	}
 	if simCacheSchema != "wehey/simcache/v2" {
 		// Not an error — just force the author of a bump to also refresh
-		// the two counts above deliberately.
-		t.Log("simCacheSchema bumped; confirm the field counts in this test were revisited")
+		// the count above deliberately.
+		t.Log("simCacheSchema bumped; confirm the field count in this test was revisited")
 	}
 }
 
+// TestAppendSpecCanonicalizesDefaults: a spec leaning on fill() defaults
+// and one spelling them out must share a cache key. That every real
+// parameter change moves the key is simcache's key property test.
 func TestAppendSpecCanonicalizesDefaults(t *testing.T) {
-	// A spec leaning on fill() defaults and one spelling them out must
-	// share a cache key...
 	sparse := SimSpec{App: TCPBulkApp, Seed: 7}
 	sparse.fill()
 	explicit := SimSpec{
@@ -43,33 +42,8 @@ func TestAppendSpecCanonicalizesDefaults(t *testing.T) {
 		Duration: 45 * time.Second, Seed: 7,
 	}
 	explicit.fill()
-	if !bytes.Equal(appendSpec(nil, &sparse), appendSpec(nil, &explicit)) {
-		t.Error("filled defaulted spec and explicit-default spec encode differently")
-	}
-	// ...while every real parameter change must change the encoding.
-	base := appendSpec(nil, &explicit)
-	for name, mut := range map[string]func(*SimSpec){
-		"App":              func(s *SimSpec) { s.App = "zoom" },
-		"InputFactor":      func(s *SimSpec) { s.InputFactor = 2.5 },
-		"QueueFactor":      func(s *SimSpec) { s.QueueFactor = 1 },
-		"BgShare":          func(s *SimSpec) { s.BgShare = 0.75 },
-		"BgAggregate":      func(s *SimSpec) { s.BgAggregate = 64e6 },
-		"RTT1":             func(s *SimSpec) { s.RTT1 = 10 * time.Millisecond },
-		"RTT2":             func(s *SimSpec) { s.RTT2 = 120 * time.Millisecond },
-		"Placement":        func(s *SimSpec) { s.Placement = LimiterNonCommon },
-		"CongestionFactor": func(s *SimSpec) { s.CongestionFactor = 1.15 },
-		"Duration":         func(s *SimSpec) { s.Duration = 20 * time.Second },
-		"Unmodified":       func(s *SimSpec) { s.Unmodified = true },
-		"BBR":              func(s *SimSpec) { s.BBR = true },
-		"BackgroundMode":   func(s *SimSpec) { s.BackgroundMode = BgModeFluid },
-		"BgFlowRate":       func(s *SimSpec) { s.BgFlowRate = 105e3 },
-		"Seed":             func(s *SimSpec) { s.Seed = 8 },
-	} {
-		mod := explicit
-		mut(&mod)
-		if bytes.Equal(base, appendSpec(nil, &mod)) {
-			t.Errorf("changing %s did not change the spec encoding", name)
-		}
+	if simcache.KeyFor(simCacheSchema, sparse) != simcache.KeyFor(simCacheSchema, explicit) {
+		t.Error("filled defaulted spec and explicit-default spec key differently")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/nal-epfl/wehey/internal/core"
-	"github.com/nal-epfl/wehey/internal/measure"
 	"github.com/nal-epfl/wehey/internal/simcache"
 )
 
@@ -61,11 +60,11 @@ func (c Config) Verdict(spec SimSpec) (SimVerdict, error) {
 	}, nil
 }
 
-// fleetCacheSchema stamps FleetCampaignSpec cache keys. Bump it whenever a
-// FleetCampaignSpec field changes meaning, the session-plan derivation
-// changes (assignment, seeding, placement mapping), or the underlying
-// per-session verdict changes behaviour at a fixed spec.
-// TestFleetCampaignSchemaGuards pins the struct shape this stamp covers.
+// fleetCacheSchema stamps FleetCampaignSpec cache keys. The struct's
+// shape is keyed by construction (simcache.KeyFor); bump the stamp when a
+// field changes meaning, the session-plan derivation changes (assignment,
+// seeding, placement mapping), or the underlying per-session verdict
+// changes behaviour at a fixed spec.
 const fleetCacheSchema = "wehey/fleetcache/v1"
 
 // FleetCampaignSpec describes one planted-ground-truth campaign over the
@@ -288,33 +287,9 @@ func NewFleetCache(cfg Config) *FleetCache {
 // Eval returns EvalCampaign(spec), computing it at most once per key.
 func (fc *FleetCache) Eval(spec FleetCampaignSpec) []SessionOutcome {
 	spec.fill() // canonicalize before keying: defaulted == spelled out
-	key := simcache.KeyOf(fleetCacheSchema, appendFleetSpec(nil, &spec))
+	key := simcache.KeyFor(fleetCacheSchema, spec)
 	return fc.inner.Get(key, func() []SessionOutcome { return fc.cfg.EvalCampaign(spec) })
 }
 
 // Stats snapshots the campaign-cache counters.
 func (fc *FleetCache) Stats() simcache.Stats { return fc.inner.Stats() }
-
-// appendFleetSpec appends the canonical binary encoding of s — every
-// field, in declaration order. TestFleetCampaignSchemaGuards fails if
-// FleetCampaignSpec grows a field without this encoder (and
-// fleetCacheSchema) being updated.
-func appendFleetSpec(b []byte, s *FleetCampaignSpec) []byte {
-	b = measure.AppendInt64(b, int64(s.ISPs))
-	b = measure.AppendInt64(b, int64(s.Servers))
-	b = appendIntSlice(b, s.ThrottledISPs)
-	b = appendIntSlice(b, s.StarvedISPs)
-	b = measure.AppendInt64(b, int64(s.Sessions))
-	b = measure.AppendString(b, s.App)
-	b = measure.AppendInt64(b, int64(s.Duration))
-	b = measure.AppendInt64(b, int64(s.SeedPool))
-	return measure.AppendInt64(b, s.Seed)
-}
-
-func appendIntSlice(b []byte, vs []int) []byte {
-	b = measure.AppendUint64(b, uint64(len(vs)))
-	for _, v := range vs {
-		b = measure.AppendInt64(b, int64(v))
-	}
-	return b
-}

@@ -1,27 +1,18 @@
 package experiments
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 	"time"
+
+	"github.com/nal-epfl/wehey/internal/simcache"
 )
 
-// TestFleetCampaignSchemaGuards pins the shape fleetCacheSchema covers: if
-// FleetCampaignSpec grows, shrinks, or reorders fields, this fails until
-// appendFleetSpec is extended AND fleetCacheSchema is bumped.
-func TestFleetCampaignSchemaGuards(t *testing.T) {
-	if n := reflect.TypeOf(FleetCampaignSpec{}).NumField(); n != 9 {
-		t.Errorf("FleetCampaignSpec has %d fields, appendFleetSpec encodes 9: extend appendFleetSpec and bump fleetCacheSchema", n)
-	}
-	if fleetCacheSchema != "wehey/fleetcache/v1" {
-		t.Log("fleetCacheSchema bumped; confirm the field count in this test was revisited")
-	}
-}
-
+// TestAppendFleetSpecCanonicalizesDefaults: a spec leaning on fill()
+// defaults and one spelling them out must share a cache key, and index
+// lists canonicalize (order, duplicates). That every real parameter change
+// moves the key is simcache's key property test.
 func TestAppendFleetSpecCanonicalizesDefaults(t *testing.T) {
-	// A spec leaning on fill() defaults and one spelling them out must
-	// share a cache key; index lists canonicalize (order, duplicates).
 	sparse := FleetCampaignSpec{ThrottledISPs: []int{5, 2, 5}, Seed: 7}
 	sparse.fill()
 	explicit := FleetCampaignSpec{
@@ -29,27 +20,8 @@ func TestAppendFleetSpecCanonicalizesDefaults(t *testing.T) {
 		App: TCPBulkApp, Duration: 45 * time.Second, SeedPool: 32, Seed: 7,
 	}
 	explicit.fill()
-	if !bytes.Equal(appendFleetSpec(nil, &sparse), appendFleetSpec(nil, &explicit)) {
-		t.Error("filled defaulted spec and explicit-default spec encode differently")
-	}
-	// ...while every real parameter change must change the encoding.
-	base := appendFleetSpec(nil, &explicit)
-	for name, mut := range map[string]func(*FleetCampaignSpec){
-		"ISPs":          func(s *FleetCampaignSpec) { s.ISPs = 24 },
-		"Servers":       func(s *FleetCampaignSpec) { s.Servers = 4 },
-		"ThrottledISPs": func(s *FleetCampaignSpec) { s.ThrottledISPs = []int{2, 6} },
-		"StarvedISPs":   func(s *FleetCampaignSpec) { s.StarvedISPs = []int{11} },
-		"Sessions":      func(s *FleetCampaignSpec) { s.Sessions = 4096 },
-		"App":           func(s *FleetCampaignSpec) { s.App = "zoom" },
-		"Duration":      func(s *FleetCampaignSpec) { s.Duration = 60 * time.Second },
-		"SeedPool":      func(s *FleetCampaignSpec) { s.SeedPool = 16 },
-		"Seed":          func(s *FleetCampaignSpec) { s.Seed = 8 },
-	} {
-		mod := explicit
-		mut(&mod)
-		if bytes.Equal(base, appendFleetSpec(nil, &mod)) {
-			t.Errorf("changing %s did not change the spec encoding", name)
-		}
+	if simcache.KeyFor(fleetCacheSchema, sparse) != simcache.KeyFor(fleetCacheSchema, explicit) {
+		t.Error("filled defaulted spec and explicit-default spec key differently")
 	}
 }
 

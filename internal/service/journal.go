@@ -1,8 +1,6 @@
 package service
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,13 +11,15 @@ import (
 	"time"
 
 	"github.com/nal-epfl/wehey/internal/clock"
+	"github.com/nal-epfl/wehey/internal/frame"
 )
 
 // The journal is the scheduler's crash-safety layer: an append-only file
-// of checksummed, length-prefixed records (the internal/simcache on-disk
-// conventions — an 8-byte magic doubling as the format version, 8-byte LE
-// payload length, the payload's SHA-256, then the payload). Submissions
-// and terminal transitions are the only journaled events; running state
+// of checksummed, length-prefixed records: an 8-byte magic doubling as the
+// format version, then one internal/frame record (8-byte LE payload
+// length, the payload's SHA-256, the payload) per event — the framing the
+// internal/simcache disk entries use too. Submissions and terminal
+// transitions are the only journaled events; running state
 // is reconstructed by re-queuing every non-terminal job on recovery,
 // which is exactly the resume-once semantics a restart needs: a job with
 // a terminal record never runs again, a job without one runs again
@@ -47,9 +47,6 @@ import (
 
 // journalMagic identifies (and versions) the journal file format.
 const journalMagic = "WHYJRNL1"
-
-// recordHeaderSize frames each record: length + checksum.
-const recordHeaderSize = 8 + sha256.Size
 
 // recOp enumerates journaled events.
 type recOp string
@@ -185,24 +182,10 @@ func OpenJournalOptions(path string, opts JournalOptions) (*Journal, Recovery, e
 		}
 	}
 
-	var good int // bytes of raw known to be well-formed
 	if len(raw) > 0 {
-		good = len(journalMagic)
-		body := raw[good:]
-		for len(body) > 0 {
-			payload, rest, ok := nextRecord(body)
-			if !ok {
-				break
-			}
-			var r record
-			if err := json.Unmarshal(payload, &r); err != nil {
-				break
-			}
-			rec.Records = append(rec.Records, r)
-			good += len(body) - len(rest)
-			body = rest
-		}
-		rec.DroppedBytes = len(raw) - good
+		var good int
+		rec.Records, good = readRecords(raw[len(journalMagic):])
+		rec.DroppedBytes = len(raw) - len(journalMagic) - good
 	}
 
 	if rec.DroppedBytes > 0 || len(raw) == 0 {
@@ -231,42 +214,39 @@ func OpenJournalOptions(path string, opts JournalOptions) (*Journal, Recovery, e
 	return j, rec, nil
 }
 
-// nextRecord parses one framed record, returning its payload and the rest.
-func nextRecord(b []byte) (payload, rest []byte, ok bool) {
-	if len(b) < recordHeaderSize {
-		return nil, nil, false
+// readRecords parses records from a journal body up to the first torn or
+// malformed one, returning them and the length of the well-formed prefix.
+func readRecords(body []byte) (recs []record, good int) {
+	rest := body
+	for len(rest) > 0 {
+		payload, next, ok := frame.Next(rest)
+		var r record
+		if !ok || json.Unmarshal(payload, &r) != nil {
+			break
+		}
+		recs = append(recs, r)
+		rest = next
 	}
-	n := binary.LittleEndian.Uint64(b)
-	if n > uint64(len(b)-recordHeaderSize) {
-		return nil, nil, false
-	}
-	payload = b[recordHeaderSize : recordHeaderSize+int(n)]
-	var want [sha256.Size]byte
-	copy(want[:], b[8:])
-	if sha256.Sum256(payload) != want {
-		return nil, nil, false
-	}
-	return payload, b[recordHeaderSize+int(n):], true
+	return recs, len(body) - len(rest)
 }
 
-// frameRecord appends the binary framing of payload to buf.
-func frameRecord(buf, payload []byte) []byte {
-	var hdr [recordHeaderSize]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	copy(hdr[8:], sum[:])
-	return append(append(buf, hdr[:]...), payload...)
+// appendRecords appends the framed JSON encoding of each record to buf.
+func appendRecords(buf []byte, recs []record) ([]byte, error) {
+	for i := range recs {
+		payload, err := json.Marshal(&recs[i])
+		if err != nil {
+			return nil, fmt.Errorf("service: encode journal record: %w", err)
+		}
+		buf = frame.Append(buf, payload)
+	}
+	return buf, nil
 }
 
 // writeCompacted atomically replaces the journal with magic + records.
 func writeCompacted(path string, records []record) error {
-	buf := []byte(journalMagic)
-	for i := range records {
-		payload, err := json.Marshal(&records[i])
-		if err != nil {
-			return fmt.Errorf("service: encode journal record: %w", err)
-		}
-		buf = frameRecord(buf, payload)
+	buf, err := appendRecords([]byte(journalMagic), records)
+	if err != nil {
+		return err
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".journal-*")
 	if err != nil {
@@ -427,14 +407,11 @@ func (j *Journal) takeBatch() (batch []jWaiter, nrec int) {
 // failed write can leave a torn record mid-file, after which further
 // appends would be unrecoverable, so the journal refuses them.
 func (j *Journal) commit(batch []jWaiter, nrec int) error {
-	buf := make([]byte, 0, nrec*(recordHeaderSize+128))
+	buf := make([]byte, 0, nrec*(frame.HeaderSize+128))
 	for _, w := range batch {
-		for i := range w.recs {
-			payload, err := json.Marshal(&w.recs[i])
-			if err != nil {
-				return j.fail(fmt.Errorf("service: encode journal record: %w", err))
-			}
-			buf = frameRecord(buf, payload)
+		var err error
+		if buf, err = appendRecords(buf, w.recs); err != nil {
+			return j.fail(err)
 		}
 	}
 	if _, err := j.f.Write(buf); err != nil {

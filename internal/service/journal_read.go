@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
@@ -26,17 +25,8 @@ func LoadJournalJobs(path string) ([]Job, error) {
 
 	byID := make(map[string]*Job)
 	var order []*Job
-	body := raw[len(journalMagic):]
-	for len(body) > 0 {
-		payload, rest, ok := nextRecord(body)
-		if !ok {
-			break
-		}
-		var r record
-		if err := json.Unmarshal(payload, &r); err != nil {
-			break
-		}
-		body = rest
+	recs, _ := readRecords(raw[len(journalMagic):])
+	for _, r := range recs {
 		switch r.Op {
 		case recSubmit:
 			if r.Spec == nil || byID[r.ID] != nil {

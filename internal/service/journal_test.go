@@ -1,14 +1,19 @@
 package service
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/nal-epfl/wehey/internal/clock"
+	"github.com/nal-epfl/wehey/internal/frame"
 )
 
 // writeJournal hand-builds a journal file from records, simulating the
@@ -268,24 +273,86 @@ func TestJournalChecksumFlipDetected(t *testing.T) {
 	}
 }
 
+// handJournal lays journal bytes out by hand, without internal/frame:
+// "WHYJRNL1", then per record the JSON payload's LE u64 length, its
+// SHA-256, and the payload — the layout of every journal on disk.
+func handJournal(t testing.TB, records ...record) []byte {
+	raw := []byte("WHYJRNL1")
+	for i := range records {
+		payload, err := json.Marshal(&records[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(payload)
+		raw = append(append(binary.LittleEndian.AppendUint64(raw, uint64(len(payload))), sum[:]...), payload...)
+	}
+	return raw
+}
+
+// TestJournalRecordRoundTrip: a journal laid out by hand opens without
+// repair and yields its record intact, and an append extends it to
+// exactly the hand-laid bytes of both records.
 func TestJournalRecordRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wj")
 	spec := Spec{Backend: BackendSim, Seed: 7, ServerPair: "A",
 		Sim: &SimJob{App: "tcpbulk", Duration: time.Second}}
-	in := record{Op: recSubmit, ID: "j000042", Seq: 42, Spec: &spec}
-	payload, err := json.Marshal(&in)
+	recs := []record{{Op: recSubmit, ID: "j000042", Seq: 42, Spec: &spec}, submitRecord("j000043", 43, 1)}
+	if err := os.WriteFile(path, handJournal(t, recs[0]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jr, rec, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	framed := frameRecord(nil, payload)
-	got, rest, ok := nextRecord(framed)
-	if !ok || len(rest) != 0 {
-		t.Fatalf("nextRecord ok=%v rest=%d", ok, len(rest))
+	if rec.Rewritten || len(rec.Records) != 1 || rec.Records[0].Seq != 42 || rec.Records[0].Spec.Sim.App != "tcpbulk" {
+		t.Fatalf("recovery = %+v, want the one record intact and no repair", rec)
 	}
-	var out record
-	if err := json.Unmarshal(got, &out); err != nil {
+	if err := jr.Append(recs[1]); err != nil {
 		t.Fatal(err)
 	}
-	if out.ID != in.ID || out.Seq != in.Seq || out.Spec.Sim.App != "tcpbulk" {
-		t.Errorf("round trip = %+v, want %+v", out, in)
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
 	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, handJournal(t, recs...)) {
+		t.Fatalf("journal bytes differ from the hand-laid layout: %x", got)
+	}
+}
+
+// FuzzOpenJournal: whatever follows the magic, OpenJournal must not
+// panic, and its repair must be final — a second open recovers the same
+// records with nothing dropped and no rewrite.
+func FuzzOpenJournal(f *testing.F) {
+	spec := stubSpec(7)
+	body := handJournal(f,
+		record{Op: recSubmit, ID: "j000001", Seq: 1, Spec: &spec},
+		record{Op: recDone, ID: "j000001", Result: &Result{}},
+		record{Op: recFail, ID: "j000002", Error: "boom"},
+	)[len(journalMagic):]
+	for _, n := range []int{len(body), 1, frame.HeaderSize + 3, len(body) / 2, len(body) - 1} {
+		f.Add(body[:n])
+	}
+	flipped := bytes.Clone(body)
+	flipped[8] ^= 0x01 // the first record's checksum
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		path := filepath.Join(t.TempDir(), "journal.wj")
+		if err := os.WriteFile(path, append([]byte(journalMagic), tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var recs [2]Recovery
+		for i := range recs {
+			jr, rec, err := OpenJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := jr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			recs[i] = rec
+		}
+		if recs[1].DroppedBytes != 0 || recs[1].Rewritten || !reflect.DeepEqual(recs[0].Records, recs[1].Records) {
+			t.Fatalf("repair not final:\n first %+v\nsecond %+v", recs[0], recs[1])
+		}
+	})
 }

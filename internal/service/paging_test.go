@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -142,5 +143,54 @@ func TestMetricsExposeShardAndJournalCounters(t *testing.T) {
 	}
 	if m.Done != 2 {
 		t.Errorf("Done = %d, want 2", m.Done)
+	}
+}
+
+// TestListPageCursorNeverSkipsAJob: batches reserve their seqs before the
+// journal fsync and publish after it, so concurrent batches publish out of
+// order. A cursor pager racing them must still see every job: once a
+// page has returned seq s, no job with a lower seq may show up later.
+func TestListPageCursorNeverSkipsAJob(t *testing.T) {
+	const submitters, batches, perBatch = 4, 8, 8 // 256 jobs: the default queue limit
+	s := journalScheduler(t, filepath.Join(t.TempDir(), "journal.wj"), newStubBackend())
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			specs := make([]Spec, perBatch)
+			for b := 0; b < batches; b++ {
+				for i := range specs {
+					specs[i] = stubSpec(int64(i))
+				}
+				if _, err := s.SubmitBatch(specs); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	submitted := make(chan struct{})
+	go func() { wg.Wait(); close(submitted) }()
+
+	var cursor uint64
+	seen := 0
+	for done := false; ; {
+		select {
+		case <-submitted:
+			done = true
+		default:
+		}
+		page := s.ListPage(cursor, 16)
+		if done && len(page) == 0 {
+			break
+		}
+		for _, j := range page {
+			cursor = j.Seq
+		}
+		seen += len(page)
+	}
+	if total := len(s.List()); seen != total {
+		t.Fatalf("cursor pager saw %d of %d jobs: it skipped %d", seen, total, total-seen)
 	}
 }

@@ -122,9 +122,10 @@ type Scheduler struct {
 	shards []shard
 	jobs   sync.Map // job ID -> *job (read-mostly index; state under shard locks)
 
-	nextSeq atomic.Uint64 // last assigned submission sequence number
-	queued  atomic.Int64  // jobs sitting in pending heaps (admission gauge)
-	rr      atomic.Uint32 // rotates the claim scan's starting shard
+	nextSeq   atomic.Uint64 // last assigned submission sequence number
+	published seqMark       // seqs ListPage may show
+	queued    atomic.Int64  // jobs sitting in pending heaps (admission gauge)
+	rr        atomic.Uint32 // rotates the claim scan's starting shard
 
 	closed    atomic.Bool
 	stop      chan struct{}
@@ -133,6 +134,39 @@ type Scheduler struct {
 	wg        sync.WaitGroup
 
 	c counters
+}
+
+// seqMark is the published watermark over submission seqs: the highest
+// seq s such that every batch holding a seq <= s has finished, by being
+// published to the job index or by being rejected. Batches reserve their
+// seqs before the journal fsync and publish after it, so they finish out
+// of order; a range finishing above a gap waits in ahead until the gap
+// closes. The mutex guards only this bookkeeping, never an append, so
+// concurrent group commits stay concurrent.
+type seqMark struct {
+	mark  atomic.Uint64
+	mu    sync.Mutex
+	ahead map[uint64]uint64 // first -> last seq of finished ranges above mark
+}
+
+// finish marks the batch holding seqs first..last as finished.
+func (m *seqMark) finish(first, last uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.ahead == nil {
+		m.ahead = make(map[uint64]uint64)
+	}
+	m.ahead[first] = last
+	mark := m.mark.Load()
+	for {
+		end, ok := m.ahead[mark+1]
+		if !ok {
+			break
+		}
+		delete(m.ahead, mark+1)
+		mark = end
+	}
+	m.mark.Store(mark)
 }
 
 // counters backs Metrics. Everything is atomic so the metrics read path
@@ -267,6 +301,7 @@ func (s *Scheduler) replay(records []record) {
 		}
 	}
 	s.nextSeq.Store(maxSeq)
+	s.published.mark.Store(maxSeq)
 	// Re-queue the incomplete remainder in submission order.
 	ids := make([]string, 0, len(byID))
 	for id := range byID {
@@ -412,6 +447,9 @@ func (s *Scheduler) SubmitBatch(specs []Spec) ([]Job, error) {
 	}
 
 	base := s.nextSeq.Add(uint64(n))
+	// Published or rejected, the batch's seqs stop holding ListPage back
+	// once this call returns.
+	defer s.published.finish(base-uint64(n)+1, base)
 	now := s.clk.Now()
 	js := make([]*job, len(specs))
 	recs := make([]record, len(specs))
@@ -501,17 +539,20 @@ func (s *Scheduler) List() []Job {
 
 // ListPage returns up to limit jobs with Seq > afterSeq, in submission
 // order (limit <= 0 = no cap). The (afterSeq, limit) pair implements the
-// admin plane's `/jobs?after=` cursor: pages are stable under concurrent
-// submission because Seq is assigned monotonically.
+// admin plane's `/jobs?after=` cursor. Listing stops at the published
+// watermark, so a page never shows a seq while a lower one from a
+// concurrent batch is still unpublished: a cursor never passes a job it
+// has not seen.
 func (s *Scheduler) ListPage(afterSeq uint64, limit int) []Job {
 	type ent struct {
 		seq uint64
 		j   *job
 	}
+	upTo := s.published.mark.Load()
 	ents := make([]ent, 0, 64)
 	s.jobs.Range(func(_, v any) bool {
 		j := v.(*job)
-		if j.Seq > afterSeq { // Seq is immutable after creation
+		if j.Seq > afterSeq && j.Seq <= upTo { // Seq is immutable after creation
 			ents = append(ents, ent{j.Seq, j})
 		}
 		return true

@@ -1,56 +1,33 @@
 // Package simcache is a content-addressed result store for deterministic
-// computations: given a stable binary encoding of a computation's full
-// input (its "spec") and a schema stamp, it memoizes the result in
-// process — with single-flight deduplication, so N concurrent requests
-// for one key execute the computation exactly once — and optionally on
-// disk, so a later process can skip the computation entirely.
+// computations: given a computation's full input (its "spec", keyed by
+// KeyFor) and a schema stamp, it memoizes the result in process — with
+// single-flight deduplication, so N concurrent requests for one key
+// execute the computation exactly once — and optionally on disk, so a
+// later process can skip the computation entirely.
 //
 // The cache is only sound for *pure* computations: the result must be a
-// function of the encoded spec and nothing else. Callers must also treat
-// returned values as immutable — the in-process layer hands the same
-// value (including any backing slices and maps) to every requester of a
-// key.
+// function of the keyed spec fields and nothing else. Callers must also
+// treat returned values as immutable — the in-process layer hands the
+// same value (including any backing slices and maps) to every requester
+// of a key.
 //
 // Invalidation is by key derivation, not by scanning: the schema stamp
-// participates in the key hash (KeyOf), so bumping the stamp orphans
-// every existing entry — a version mismatch is indistinguishable from a
-// miss. Corrupt or truncated disk entries are detected by checksum and
-// likewise degrade to a miss (and are deleted), never to a panic or a
-// wrong result.
+// and the spec type's shape participate in the key hash (KeyFor), so
+// bumping the stamp or changing the struct orphans every existing entry —
+// a version mismatch is indistinguishable from a miss. Corrupt or
+// truncated disk entries are detected by checksum and likewise degrade to
+// a miss (and are deleted), never to a panic or a wrong result.
 package simcache
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"github.com/nal-epfl/wehey/internal/frame"
 )
-
-// Key addresses one cached result: the SHA-256 of the schema stamp and
-// the canonical binary encoding of the computation's full input.
-type Key [sha256.Size]byte
-
-// KeyOf derives the cache key for a spec encoding under a schema stamp.
-// The stamp is length-prefixed so (stamp, spec) pairs cannot collide by
-// shifting bytes between the two.
-func KeyOf(stamp string, spec []byte) Key {
-	h := sha256.New()
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(stamp)))
-	h.Write(n[:])
-	h.Write([]byte(stamp))
-	h.Write(spec)
-	var k Key
-	h.Sum(k[:0])
-	return k
-}
-
-// String renders the key as lowercase hex.
-func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // Codec round-trips values through the disk layer. Encode must be
 // deterministic and Decode(Encode(v)) must reproduce v exactly — a cached
@@ -212,11 +189,9 @@ func (c *Cache[V]) lead(key Key, f *flight[V], compute func() V) V {
 }
 
 // Disk entry layout: an 8-byte magic (doubling as the file-format
-// version), the payload length, the payload's SHA-256, then the payload.
-// The key never appears inside the file — it is the file name.
+// version) followed by exactly one internal/frame record holding the
+// payload. The key never appears inside the file — it is the file name.
 const entryMagic = "WHYSIMC1"
-
-const entryHeaderSize = len(entryMagic) + 8 + sha256.Size
 
 // entryPath fans entries out over 256 subdirectories so huge grids don't
 // produce one enormous flat directory.
@@ -254,25 +229,14 @@ func (c *Cache[V]) loadDisk(key Key) (V, bool) {
 	return v, true
 }
 
-// checkEntry validates the framing and checksum, returning the payload.
+// checkEntry validates the magic, framing and checksum, returning the
+// payload. Bytes after the frame make the entry corrupt.
 func checkEntry(raw []byte) ([]byte, bool) {
-	if len(raw) < entryHeaderSize {
+	if len(raw) < len(entryMagic) || string(raw[:len(entryMagic)]) != entryMagic {
 		return nil, false
 	}
-	if string(raw[:len(entryMagic)]) != entryMagic {
-		return nil, false
-	}
-	n := binary.LittleEndian.Uint64(raw[len(entryMagic):])
-	payload := raw[entryHeaderSize:]
-	if uint64(len(payload)) != n {
-		return nil, false
-	}
-	var want [sha256.Size]byte
-	copy(want[:], raw[len(entryMagic)+8:])
-	if sha256.Sum256(payload) != want {
-		return nil, false
-	}
-	return payload, true
+	payload, rest, ok := frame.Next(raw[len(entryMagic):])
+	return payload, ok && len(rest) == 0
 }
 
 func (c *Cache[V]) dropCorrupt(path string) {
@@ -288,12 +252,8 @@ func (c *Cache[V]) storeDisk(key Key, v V) {
 		return
 	}
 	payload := c.codec.Encode(v)
-	buf := make([]byte, entryHeaderSize+len(payload))
-	copy(buf, entryMagic)
-	binary.LittleEndian.PutUint64(buf[len(entryMagic):], uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	copy(buf[len(entryMagic)+8:], sum[:])
-	copy(buf[entryHeaderSize:], payload)
+	buf := make([]byte, 0, len(entryMagic)+frame.HeaderSize+len(payload))
+	buf = frame.Append(append(buf, entryMagic...), payload)
 
 	path := c.entryPath(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

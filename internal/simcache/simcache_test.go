@@ -1,6 +1,9 @@
 package simcache
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/nal-epfl/wehey/internal/frame"
 )
 
 // stringCodec is the trivial identity codec used by the disk tests.
@@ -17,18 +22,30 @@ var stringCodec = Codec[string]{
 }
 
 func TestKeyOfSeparatesStampAndSpec(t *testing.T) {
-	a := KeyOf("v1", []byte("spec"))
-	if a != KeyOf("v1", []byte("spec")) {
-		t.Fatal("KeyOf is not deterministic")
+	a := KeyFor("v1", "spec")
+	if a != KeyFor("v1", "spec") {
+		t.Fatal("KeyFor is not deterministic")
 	}
 	for name, other := range map[string]Key{
-		"stamp":          KeyOf("v2", []byte("spec")),
-		"spec":           KeyOf("v1", []byte("spec!")),
-		"boundary shift": KeyOf("v1s", []byte("pec")),
+		"stamp":          KeyFor("v2", "spec"),
+		"spec":           KeyFor("v1", "spec!"),
+		"boundary shift": KeyFor("v1s", "pec"),
 	} {
 		if other == a {
 			t.Errorf("changing the %s did not change the key", name)
 		}
+	}
+	// Variable-length fields are length-prefixed: shifting an element or a
+	// byte across a field boundary is a different spec.
+	type pair struct {
+		A, B []int
+		S, T string
+	}
+	if KeyFor("v1", pair{A: []int{1, 2}, B: []int{3}}) == KeyFor("v1", pair{A: []int{1}, B: []int{2, 3}}) {
+		t.Error("shifting a slice element across fields did not change the key")
+	}
+	if KeyFor("v1", pair{S: "ab", T: "c"}) == KeyFor("v1", pair{S: "a", T: "bc"}) {
+		t.Error("shifting a string byte across fields did not change the key")
 	}
 }
 
@@ -37,7 +54,7 @@ func TestKeyOfSeparatesStampAndSpec(t *testing.T) {
 // value.
 func TestSingleFlight(t *testing.T) {
 	c := New[int]()
-	key := KeyOf("v1", []byte("the one spec"))
+	key := KeyFor("v1", "the one spec")
 	const goroutines = 32
 	var computes atomic.Int64
 	var wg sync.WaitGroup
@@ -73,7 +90,7 @@ func TestSingleFlight(t *testing.T) {
 
 func TestMemoryHitAcrossSequentialGets(t *testing.T) {
 	c := New[string]()
-	key := KeyOf("v1", []byte("k"))
+	key := KeyFor("v1", "k")
 	calls := 0
 	compute := func() string { calls++; return "value" }
 	if got := c.Get(key, compute); got != "value" {
@@ -89,7 +106,7 @@ func TestMemoryHitAcrossSequentialGets(t *testing.T) {
 
 func TestDiskRoundTripAcrossProcessLifetimes(t *testing.T) {
 	dir := t.TempDir()
-	key := KeyOf("v1", []byte("spec"))
+	key := KeyFor("v1", "spec")
 
 	cold, err := NewDisk(dir, stringCodec)
 	if err != nil {
@@ -100,6 +117,14 @@ func TestDiskRoundTripAcrossProcessLifetimes(t *testing.T) {
 	}
 	if st := cold.Stats(); st.Misses != 1 || st.BytesWritten == 0 {
 		t.Fatalf("cold stats = %+v, want 1 miss and a disk write", st)
+	}
+	// The entry is byte for byte the hand-laid layout every existing cache
+	// directory holds — "WHYSIMC1", the payload's LE u64 length, its
+	// SHA-256, the payload — so the warm process reads that layout back.
+	sum := sha256.Sum256([]byte("payload"))
+	want := append(append(binary.LittleEndian.AppendUint64([]byte("WHYSIMC1"), 7), sum[:]...), "payload"...)
+	if raw, err := os.ReadFile(cold.entryPath(key)); err != nil || !bytes.Equal(raw, want) {
+		t.Fatalf("entry = %x, %v; want the hand-laid %x", raw, err, want)
 	}
 
 	// A fresh cache over the same directory stands in for a new process.
@@ -122,7 +147,7 @@ func TestDiskRoundTripAcrossProcessLifetimes(t *testing.T) {
 // corruptions maps a name to a mutation of a valid on-disk entry. Every
 // one must read as a miss — recompute, never a panic or a wrong value.
 var corruptions = map[string]func([]byte) []byte{
-	"truncated header":  func(b []byte) []byte { return b[:entryHeaderSize/2] },
+	"truncated header":  func(b []byte) []byte { return b[:(len(entryMagic)+frame.HeaderSize)/2] },
 	"truncated payload": func(b []byte) []byte { return b[:len(b)-1] },
 	"empty file":        func([]byte) []byte { return nil },
 	"bad magic":         func(b []byte) []byte { b[0] ^= 0xff; return b },
@@ -135,7 +160,7 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 	for name, corrupt := range corruptions {
 		t.Run(strings.ReplaceAll(name, " ", "-"), func(t *testing.T) {
 			dir := t.TempDir()
-			key := KeyOf("v1", []byte("spec"))
+			key := KeyFor("v1", "spec")
 			seed, err := NewDisk(dir, stringCodec)
 			if err != nil {
 				t.Fatal(err)
@@ -181,7 +206,7 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 
 func TestDecodeFailureIsAMiss(t *testing.T) {
 	dir := t.TempDir()
-	key := KeyOf("v1", []byte("spec"))
+	key := KeyFor("v1", "spec")
 	strict := Codec[string]{
 		Encode: stringCodec.Encode,
 		Decode: func(b []byte) (string, error) { return "", fmt.Errorf("schema drift") },
@@ -209,20 +234,20 @@ func TestDecodeFailureIsAMiss(t *testing.T) {
 // invisible — a plain miss, not an error — under another.
 func TestVersionStampMismatchIsAMiss(t *testing.T) {
 	dir := t.TempDir()
-	spec := []byte("same spec bytes")
+	spec := "same spec"
 
 	v1, err := NewDisk(dir, stringCodec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1.Get(KeyOf("schema/v1", spec), func() string { return "old-schema result" })
+	v1.Get(KeyFor("schema/v1", spec), func() string { return "old-schema result" })
 
 	v2, err := NewDisk(dir, stringCodec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recomputed := false
-	got := v2.Get(KeyOf("schema/v2", spec), func() string {
+	got := v2.Get(KeyFor("schema/v2", spec), func() string {
 		recomputed = true
 		return "new-schema result"
 	})
@@ -238,7 +263,7 @@ func TestVersionStampMismatchIsAMiss(t *testing.T) {
 // concurrent waiters on the same key, and a retry must succeed.
 func TestPanickedLeaderReleasesWaiters(t *testing.T) {
 	c := New[int]()
-	key := KeyOf("v1", []byte("k"))
+	key := KeyFor("v1", "k")
 
 	leaderStarted := make(chan struct{})
 	release := make(chan struct{})
@@ -273,7 +298,7 @@ func TestEntryPathFansOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := KeyOf("v1", []byte("x"))
+	k := KeyFor("v1", "x")
 	p := c.entryPath(k)
 	sub := filepath.Base(filepath.Dir(p))
 	if len(sub) != 2 || !strings.HasPrefix(filepath.Base(p), k.String()[2:]) {

@@ -8,9 +8,9 @@ import (
 	"github.com/nal-epfl/wehey/internal/simcache"
 )
 
-// Cache stamps: bump on any change to the drivers, the spec encoding, or
-// the value encoding — a stale entry must never be indistinguishable from
-// a fresh run.
+// Cache stamps: bump on any change to the drivers or the value encoding —
+// a stale entry must never be indistinguishable from a fresh run. The
+// point structs' shapes are keyed by construction (simcache.KeyFor).
 const (
 	tbfCacheSchema    = "wehey/twincache/tbf/v1"
 	mg1CacheSchema    = "wehey/twincache/mg1/v1"
@@ -66,7 +66,7 @@ func (c *Cache) Stats() simcache.Stats {
 
 // tbfPoint runs one TBF grid point through the cache.
 func (c *Cache) tbfPoint(pt TBFPoint) TBFMeasurement {
-	key := simcache.KeyOf(tbfCacheSchema, encodeTBFPoint(pt))
+	key := simcache.KeyFor(tbfCacheSchema, pt)
 	return c.tbf.Get(key, func() TBFMeasurement {
 		return RunTBFPoint(pt.Params, pt.Proc, pt.Seed)
 	})
@@ -74,38 +74,23 @@ func (c *Cache) tbfPoint(pt TBFPoint) TBFMeasurement {
 
 // mg1Point runs one service grid point through the cache.
 func (c *Cache) mg1Point(pt MG1Point) MG1Summary {
-	key := simcache.KeyOf(mg1CacheSchema, encodeMG1Point(pt))
+	key := simcache.KeyFor(mg1CacheSchema, pt)
 	return c.mg1.Get(key, func() MG1Summary {
 		return RunMG1Point(pt)
 	})
 }
 
 // hybridPoint runs one hybrid grid point in the given mode through the
-// cache. The mode is part of the encoded spec so the packet and fluid
+// cache. The mode is part of the keyed spec so the packet and fluid
 // measurements of the same point never alias.
 func (c *Cache) hybridPoint(pt HybridPoint, fluid bool) HybridMeasurement {
-	key := simcache.KeyOf(hybridCacheSchema, encodeHybridPoint(pt, fluid))
+	key := simcache.KeyFor(hybridCacheSchema, struct {
+		Point HybridPoint
+		Fluid bool
+	}{pt, fluid})
 	return c.hybrid.Get(key, func() HybridMeasurement {
 		return RunHybridPoint(pt, fluid)
 	})
-}
-
-// encodeTBFPoint canonically serializes the ground-truth-determining spec
-// fields (Name and Tol deliberately excluded: renaming a point or widening
-// a band must not invalidate its measurement).
-//
-//lint:ignore cachekey Name and Tol do not affect simulated ground truth; see doc comment
-func encodeTBFPoint(pt TBFPoint) []byte {
-	b := make([]byte, 0, 64)
-	b = measure.AppendFloat64(b, pt.Params.Rate)
-	b = measure.AppendInt64(b, int64(pt.Params.Burst))
-	b = measure.AppendInt64(b, int64(pt.Params.QueueLimit))
-	b = measure.AppendInt64(b, int64(pt.Params.PacketSize))
-	b = measure.AppendFloat64(b, pt.Params.Offered)
-	b = measure.AppendInt64(b, int64(pt.Params.Horizon))
-	b = measure.AppendString(b, string(pt.Proc))
-	b = measure.AppendInt64(b, pt.Seed)
-	return b
 }
 
 func tbfCodec() simcache.Codec[TBFMeasurement] {
@@ -149,33 +134,6 @@ func tbfCodec() simcache.Codec[TBFMeasurement] {
 	}
 }
 
-// encodeHybridPoint canonically serializes a hybrid point spec plus the
-// packet/fluid mode it was measured under; like encodeTBFPoint it
-// deliberately excludes Name and Tol.
-//
-//lint:ignore cachekey Name and Tol do not affect simulated ground truth; see doc comment
-func encodeHybridPoint(pt HybridPoint, fluid bool) []byte {
-	b := make([]byte, 0, 96)
-	b = measure.AppendFloat64(b, pt.Rate)
-	b = measure.AppendInt64(b, int64(pt.Burst))
-	b = measure.AppendInt64(b, int64(pt.QueueLimit))
-	b = measure.AppendFloat64(b, pt.BgRate)
-	b = measure.AppendFloat64(b, pt.BgModSpread)
-	b = measure.AppendInt64(b, int64(pt.BgModPeriod))
-	b = measure.AppendInt64(b, int64(pt.BgPacket))
-	b = measure.AppendFloat64(b, pt.FgRate)
-	b = measure.AppendInt64(b, int64(pt.FgPacket))
-	b = measure.AppendString(b, string(pt.FgProc))
-	b = measure.AppendInt64(b, int64(pt.Horizon))
-	b = measure.AppendInt64(b, pt.Seed)
-	mode := int64(0)
-	if fluid {
-		mode = 1
-	}
-	b = measure.AppendInt64(b, mode)
-	return b
-}
-
 func hybridCodec() simcache.Codec[HybridMeasurement] {
 	return simcache.Codec[HybridMeasurement]{
 		Encode: func(m HybridMeasurement) []byte {
@@ -214,21 +172,6 @@ func hybridCodec() simcache.Codec[HybridMeasurement] {
 			return m, nil
 		},
 	}
-}
-
-// encodeMG1Point canonically serializes an MG1 point spec; like
-// encodeTBFPoint it deliberately excludes Name and Tol.
-//
-//lint:ignore cachekey Name and Tol do not affect simulated ground truth; see doc comment
-func encodeMG1Point(pt MG1Point) []byte {
-	b := make([]byte, 0, 64)
-	b = measure.AppendInt64(b, int64(pt.Servers))
-	b = measure.AppendFloat64(b, pt.Lambda)
-	b = measure.AppendFloat64(b, pt.MeanService)
-	b = measure.AppendFloat64(b, pt.SCV)
-	b = measure.AppendInt64(b, int64(pt.Jobs))
-	b = measure.AppendInt64(b, pt.Seed)
-	return b
 }
 
 func mg1Codec() simcache.Codec[MG1Summary] {

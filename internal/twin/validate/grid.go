@@ -22,13 +22,15 @@ type TBFTolerance struct {
 	FirstDropAbs time.Duration
 }
 
-// TBFPoint is one cell of the validation grid.
+// TBFPoint is one cell of the validation grid. Name and Tol label and
+// judge a point without changing its ground truth, so they are not part
+// of its cache key.
 type TBFPoint struct {
-	Name   string
+	Name   string `cache:"-"`
 	Params twin.TBFParams
 	Proc   Arrivals
 	Seed   int64
-	Tol    TBFTolerance
+	Tol    TBFTolerance `cache:"-"`
 }
 
 // Grid geometry: 1000-byte packets over a 10 s horizon, the paper's two

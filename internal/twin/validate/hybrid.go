@@ -36,9 +36,10 @@ type HybridTolerance struct {
 	MinEventRatio float64
 }
 
-// HybridPoint is one cell of the hybrid validation grid.
+// HybridPoint is one cell of the hybrid validation grid. Like TBFPoint,
+// its Name and Tol are not part of its cache key.
 type HybridPoint struct {
-	Name string
+	Name string `cache:"-"`
 	// TBF under test.
 	Rate       float64 // token rate, bits/s
 	Burst      int     // bytes
@@ -55,7 +56,7 @@ type HybridPoint struct {
 	FgProc   Arrivals
 	Horizon  time.Duration
 	Seed     int64
-	Tol      HybridTolerance
+	Tol      HybridTolerance `cache:"-"`
 }
 
 // HybridMeasurement is one mode's outcome for a hybrid grid point.

@@ -16,9 +16,10 @@ import (
 
 // MG1Point is one service-model validation point: a Poisson job stream
 // offered to a real internal/service.Scheduler on a manual clock, compared
-// against twin.MGc at the same parameters.
+// against twin.MGc at the same parameters. Like TBFPoint, its Name and Tol
+// are not part of its cache key.
 type MG1Point struct {
-	Name        string
+	Name        string `cache:"-"`
 	Servers     int
 	Lambda      float64 // jobs/s
 	MeanService float64 // seconds
@@ -27,7 +28,7 @@ type MG1Point struct {
 	SCV  float64
 	Jobs int
 	Seed int64
-	Tol  MG1Tolerance
+	Tol  MG1Tolerance `cache:"-"`
 }
 
 // MG1Tolerance is the relative acceptance band on each sojourn statistic.
