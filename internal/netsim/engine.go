@@ -9,11 +9,13 @@
 // is total (time, then insertion sequence), and all stochastic components
 // draw from explicitly seeded *rand.Rand streams.
 //
-// The scheduling hot path is allocation-free in steady state: events are
-// typed records in a non-boxing 4-ary min-heap (no container/heap
-// interface{} boxing, no per-delivery closures), hop queues are growable
-// ring buffers, and packets recycle through an engine-owned freelist. See
-// DESIGN.md §8 for the event model and the packet-ownership rules.
+// The scheduling hot path is allocation-free in steady state: pending
+// events are 24-byte (time, sequence, slot) keys in a 4-ary min-heap over
+// a slab of typed payload records (no container/heap interface{} boxing,
+// no per-delivery closures), hop queues are growable ring buffers, and
+// packets recycle through an engine-owned freelist. Trace replays feed the
+// queue one send at a time. See DESIGN.md §8 for the event model and the
+// packet-ownership rules.
 package netsim
 
 import (
@@ -29,15 +31,16 @@ import (
 // goroutine-safe; the parallel experiment runner shares them across
 // workers.
 var (
-	pqPool       sync.Pool // *[]event, len 0, contents zeroed
+	pqPool       sync.Pool // *eventQueue, empty, slab contents zeroed
 	freelistPool sync.Pool // *[]*Packet, every element recycled (dead)
 )
 
 // Engine is the discrete-event scheduler. The zero value is ready to use.
 type Engine struct {
-	now time.Duration
-	pq  []event
-	seq uint64
+	now  time.Duration
+	q    *eventQueue // nil until the first push and after recycling
+	seq  uint64
+	peak int // most events ever pending at once
 
 	// Packet freelist (see AllocPacket/FreePacket). Single-threaded like
 	// the rest of the engine: each Engine owns its packets exclusively.
@@ -83,12 +86,11 @@ type handler interface {
 	handle(kind eventKind, arg uint64)
 }
 
-// event is a typed scheduler record. Exactly one of the payload groups is
+// event is a typed payload record. Exactly one of the payload groups is
 // used, selected by kind: fn (evFunc), pkt+hop (evDeliver), or h+arg
-// (interned callbacks).
+// (interned callbacks). Its place in time lives in the eventKey that
+// points at it.
 type event struct {
-	at   time.Duration
-	seq  uint64
 	arg  uint64
 	pkt  *Packet
 	hop  Hop
@@ -97,14 +99,30 @@ type event struct {
 	kind eventKind
 }
 
-// eventLess is the total event order: time, then insertion sequence. Every
+// eventKey orders one pending event. It holds no pointers, so sifting
+// keys moves 24 bytes with no write barriers however large the payload.
+type eventKey struct {
+	at   time.Duration
+	seq  uint64
+	slot int // index of the payload in eventQueue.slab
+}
+
+// keyLess is the total event order: time, then insertion sequence. Every
 // (at, seq) pair is unique, so any correct heap yields the same pop order —
 // the determinism contract does not depend on heap arity or layout.
-func eventLess(a, b *event) bool {
+func keyLess(a, b *eventKey) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
+}
+
+// eventQueue is the pending-event store. The three arrays travel together
+// through pqPool.
+type eventQueue struct {
+	keys   []eventKey // 4-ary min-heap by (at, seq)
+	slab   []event    // payloads; vacant entries are zeroed
+	vacant []int      // slab slots free for reuse
 }
 
 // Now returns the current simulation time.
@@ -146,45 +164,83 @@ func (e *Engine) afterCall(d time.Duration, h handler, kind eventKind, arg uint6
 	e.scheduleCall(e.now+d, h, kind, arg)
 }
 
-// push clamps at to the present, assigns the insertion sequence, and sifts
-// the record into the 4-ary heap.
+// push clamps at to the present, assigns the next insertion sequence, and
+// queues the event.
 func (e *Engine) push(at time.Duration, ev event) {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	ev.at, ev.seq = at, e.seq
-	if e.pq == nil {
-		if b, _ := pqPool.Get().(*[]event); b != nil {
-			e.pq = (*b)[:0]
+	e.pushSeq(at, e.seq, ev)
+}
+
+// reserveSeq claims the next n insertion sequences, base+1..base+n, for a
+// source that pushes its events later through pushSeq: a lazy source keeps
+// the exact (at, seq) keys it would have had if it had pushed all n events
+// at the moment it reserved them.
+func (e *Engine) reserveSeq(n int) (base uint64) {
+	base = e.seq
+	e.seq += uint64(n)
+	return base
+}
+
+// pushSeq queues ev under an explicit (at, seq) key: either a fresh one
+// from push, or one from a reserveSeq range. at must not lie in the past
+// and seq must not be pending already; both are the caller's contract.
+func (e *Engine) pushSeq(at time.Duration, seq uint64, ev event) {
+	q := e.q
+	if q == nil {
+		q, _ = pqPool.Get().(*eventQueue)
+		if q == nil {
+			q = new(eventQueue)
 		}
+		e.q = q
 	}
-	e.pq = append(e.pq, ev)
-	e.siftUp(len(e.pq) - 1)
+	var slot int
+	if n := len(q.vacant); n > 0 {
+		slot = q.vacant[n-1]
+		q.vacant = q.vacant[:n-1]
+		q.slab[slot] = ev
+	} else {
+		slot = len(q.slab)
+		q.slab = append(q.slab, ev)
+	}
+	q.keys = append(q.keys, eventKey{at: at, seq: seq, slot: slot})
+	q.siftUp(len(q.keys) - 1)
+	if n := len(q.keys); n > e.peak {
+		e.peak = n
+	}
 }
 
 // The heap is 4-ary: children of i are 4i+1..4i+4, parent is (i-1)/4.
-// Shallower than a binary heap (fewer swap levels per op on the large
-// queues paper-scale runs build up), with the 4-way child minimum staying
-// in one cache line of events.
+// Shallower than a binary heap (fewer levels per op on deep queues), with
+// the 4-way child minimum spanning at most two cache lines of keys. Both
+// sifts move a hole instead of swapping: each level copies one key, and
+// the moving key is written once at its final position.
 
-func (e *Engine) siftUp(i int) {
+func (q *eventQueue) siftUp(i int) {
+	keys := q.keys
+	k := keys[i]
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !eventLess(&e.pq[i], &e.pq[p]) {
+		if !keyLess(&k, &keys[p]) {
 			break
 		}
-		e.pq[i], e.pq[p] = e.pq[p], e.pq[i]
+		keys[i] = keys[p]
 		i = p
 	}
+	keys[i] = k
 }
 
-func (e *Engine) siftDown(i int) {
-	n := len(e.pq)
+// siftDown places k into the heap starting from the hole at the root.
+func (q *eventQueue) siftDown(k eventKey) {
+	keys := q.keys
+	n := len(keys)
+	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
-			return
+			break
 		}
 		min := first
 		last := first + 4
@@ -192,30 +248,35 @@ func (e *Engine) siftDown(i int) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if eventLess(&e.pq[c], &e.pq[min]) {
+			if keyLess(&keys[c], &keys[min]) {
 				min = c
 			}
 		}
-		if !eventLess(&e.pq[min], &e.pq[i]) {
-			return
+		if !keyLess(&keys[min], &k) {
+			break
 		}
-		e.pq[i], e.pq[min] = e.pq[min], e.pq[i]
+		keys[i] = keys[min]
 		i = min
 	}
+	keys[i] = k
 }
 
-// pop removes and returns the minimum event. The vacated tail slot is
-// zeroed so the queue's spare capacity never pins packets or closures.
-func (e *Engine) pop() event {
-	top := e.pq[0]
-	n := len(e.pq) - 1
-	e.pq[0] = e.pq[n]
-	e.pq[n] = event{}
-	e.pq = e.pq[:n]
+// pop removes the minimum event and returns its key and payload. The
+// payload's slab slot is zeroed and becomes vacant, so the slab never
+// grows past the peak number of pending events and its spare entries
+// never pin packets or closures.
+func (q *eventQueue) pop() (eventKey, event) {
+	top := q.keys[0]
+	n := len(q.keys) - 1
+	last := q.keys[n]
+	q.keys = q.keys[:n]
 	if n > 0 {
-		e.siftDown(0)
+		q.siftDown(last)
 	}
-	return top
+	ev := q.slab[top.slot]
+	q.slab[top.slot] = event{}
+	q.vacant = append(q.vacant, top.slot)
+	return top, ev
 }
 
 // dispatch runs one event.
@@ -238,14 +299,14 @@ func (e *Engine) dispatch(ev *event) {
 // until. It returns the number of events processed.
 func (e *Engine) Run(until time.Duration) int {
 	processed := 0
-	for len(e.pq) > 0 {
-		if e.pq[0].at > until {
+	for e.q != nil && len(e.q.keys) > 0 {
+		if e.q.keys[0].at > until {
 			// Leave it for a later Run and stop.
 			e.now = until
 			return processed
 		}
-		ev := e.pop()
-		e.now = ev.at
+		k, ev := e.q.pop()
+		e.now = k.at
 		e.dispatch(&ev)
 		processed++
 	}
@@ -254,47 +315,59 @@ func (e *Engine) Run(until time.Duration) int {
 	}
 	// The queue drained: the simulation is over or quiescent, so hand the
 	// backing arrays to the cross-engine pools. pop zeroed every vacated
-	// slot, and a freed packet is by contract unreferenced, so neither
-	// buffer pins live objects. A later push/AllocPacket simply re-acquires.
-	if cap(e.pq) > 0 {
-		buf := e.pq[:0]
-		e.pq = nil
-		pqPool.Put(&buf)
-	}
-	if len(e.free) > 0 {
-		fl := e.free
-		e.free = nil
-		freelistPool.Put(&fl)
-	}
+	// slab slot, and a freed packet is by contract unreferenced, so neither
+	// pool pins live objects. A later push/AllocPacket simply re-acquires.
+	e.recycle()
 	return processed
 }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.pq) }
-
-// Release hands the engine's backing arrays to the cross-engine pools and
-// recycles the packets of still-pending deliveries. Trial runners stop at
-// a fixed horizon with events (churn, background, retransmission timers)
-// still queued, so Run's drained-queue recycling never fires for them;
-// calling Release when a trial's results have been read closes that gap.
-// The engine must not be used again afterwards.
-func (e *Engine) Release() {
-	for i := range e.pq {
-		if e.pq[i].kind == evDeliver && e.pq[i].pkt != nil {
-			e.FreePacket(e.pq[i].pkt)
-		}
-		e.pq[i] = event{}
-	}
-	if cap(e.pq) > 0 {
-		buf := e.pq[:0]
-		e.pq = nil
-		pqPool.Put(&buf)
+// recycle hands the (empty, zeroed) event queue and the packet freelist
+// to the cross-engine pools.
+func (e *Engine) recycle() {
+	if q := e.q; q != nil {
+		q.keys, q.slab, q.vacant = q.keys[:0], q.slab[:0], q.vacant[:0]
+		e.q = nil
+		pqPool.Put(q)
 	}
 	if len(e.free) > 0 {
 		fl := e.free
 		e.free = nil
 		freelistPool.Put(&fl)
 	}
+}
+
+// Pending returns the number of queued events.
+func (e *Engine) Pending() int {
+	if e.q == nil {
+		return 0
+	}
+	return len(e.q.keys)
+}
+
+// PeakPending returns the largest number of events that were ever pending
+// at once on this engine. Like the event order itself it is deterministic,
+// so it is a stable gauge of queue depth, which sets the cost of every
+// push and pop.
+func (e *Engine) PeakPending() int { return e.peak }
+
+// Release hands the engine's backing arrays to the cross-engine pools and
+// recycles the packets of still-pending deliveries. Trial runners stop at
+// a fixed horizon with events (churn, background, retransmission timers,
+// replay sends) still queued, so Run's drained-queue recycling never fires
+// for them; calling Release when a trial's results have been read closes
+// that gap. The engine must not be used again afterwards.
+func (e *Engine) Release() {
+	if q := e.q; q != nil {
+		// Each pending key owns a distinct slot, so every pending
+		// delivery's packet is freed exactly once; vacant slots are zero.
+		for _, k := range q.keys {
+			if ev := &q.slab[k.slot]; ev.kind == evDeliver && ev.pkt != nil {
+				e.FreePacket(ev.pkt)
+			}
+		}
+		clear(q.slab)
+	}
+	e.recycle()
 }
 
 // AllocPacket returns a zeroed packet, recycling one from the freelist
